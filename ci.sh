@@ -16,6 +16,13 @@ cargo build --offline --workspace --release
 echo "==> cargo test (tier-1)"
 cargo test --offline --workspace -q
 
+echo "==> perfbench build (the repo benchmark must keep compiling)"
+# perfbench/ is a standalone package with path dependencies on the
+# workspace crates; building it here makes a library API change that
+# breaks the benchmark fail CI instead of the next benchmark run.
+CARGO_TARGET_DIR=.bench_build cargo build --release --offline \
+    --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo clippy -D warnings"
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
