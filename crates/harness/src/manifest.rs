@@ -139,15 +139,13 @@ impl<const N: usize> From<[(&str, f64); N]> for Metrics {
 /// Manifest line format version written by this crate.
 const MANIFEST_VERSION: f64 = 2.0;
 
-/// One manifest line: a job's terminal outcome — or, in a serve-style
-/// job store, its queued admission.
+/// One manifest line: a job's terminal outcome.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Record {
     /// The job's deterministic key.
     pub key: String,
-    /// `"ok"`, `"failed"`, or `"panicked"` for terminal outcomes;
-    /// `"queued"` (admitted, not yet executed) and `"cancelled"` extend
-    /// the store for the serve daemon's durable queue.
+    /// `"ok"`, `"failed"`, or `"panicked"`; any other status makes the
+    /// line unparseable, so recovery skips it as corrupt.
     pub status: String,
     /// Attempts consumed.
     pub attempts: u32,
@@ -164,36 +162,6 @@ impl Record {
     /// Whether the job completed successfully.
     pub fn is_ok(&self) -> bool {
         self.status == "ok"
-    }
-
-    /// Whether this record is a queued admission (not yet executed) —
-    /// the serve daemon's restart recovery re-enqueues these.
-    pub fn is_queued(&self) -> bool {
-        self.status == "queued"
-    }
-
-    /// A queued admission record for `key` (no attempts, no metrics).
-    pub fn queued(key: &str) -> Record {
-        Record {
-            key: key.to_string(),
-            status: "queued".to_string(),
-            attempts: 0,
-            wall_micros: 0,
-            metrics: Metrics::new(),
-            error: None,
-        }
-    }
-
-    /// A cancelled record for `key`: terminal, never executed.
-    pub fn cancelled(key: &str) -> Record {
-        Record {
-            key: key.to_string(),
-            status: "cancelled".to_string(),
-            attempts: 0,
-            wall_micros: 0,
-            metrics: Metrics::new(),
-            error: Some("cancelled before execution".to_string()),
-        }
     }
 
     /// Convert a scheduler [`JobRun`] into a manifest record, salvaging
@@ -291,10 +259,7 @@ impl Record {
             .get("status")
             .and_then(Value::as_str)
             .ok_or("missing status")?;
-        if !matches!(
-            status,
-            "ok" | "failed" | "panicked" | "queued" | "cancelled"
-        ) {
+        if !matches!(status, "ok" | "failed" | "panicked") {
             return Err(format!("unknown status {status:?}"));
         }
         let attempts = v
@@ -563,12 +528,6 @@ impl Manifest {
         &self.recovery
     }
 
-    /// All distinct records (one per key, last writer wins), in
-    /// first-write order.
-    pub fn records(&self) -> &[Record] {
-        &self.records
-    }
-
     /// Number of distinct records.
     pub fn len(&self) -> usize {
         self.records.len()
@@ -590,7 +549,7 @@ impl Manifest {
     }
 
     /// Append one record to the write buffer. The record is immediately
-    /// visible to [`get`](Self::get)/[`records`](Self::records) —
+    /// visible to [`get`](Self::get) —
     /// superseding any earlier record for the same key — and reaches
     /// the file on the next automatic or explicit
     /// [`flush`](Self::flush) (at worst on drop).
@@ -1076,25 +1035,32 @@ mod tests {
     }
 
     #[test]
-    fn queued_and_cancelled_records_round_trip() {
-        let q = Record::queued("serve/job/a");
-        assert!(q.is_queued() && !q.is_ok());
-        let parsed = Record::from_json_line(&q.to_json_line()).unwrap();
-        assert_eq!(parsed, q);
-        let c = Record::cancelled("serve/job/a");
-        assert!(!c.is_queued() && !c.is_ok());
-        let parsed = Record::from_json_line(&c.to_json_line()).unwrap();
-        assert_eq!(parsed, c);
-        // The durable queue persists through the normal store path.
-        let tmp = temp_manifest("queued");
-        {
-            let mut m = Manifest::open(&tmp.0, false).unwrap();
-            m.append(Record::queued("j1")).unwrap();
-            m.append(Record::queued("j2")).unwrap();
-        }
-        let m = Manifest::open(&tmp.0, true).unwrap();
-        assert!(m.get("j1").unwrap().is_queued());
-        assert!(m.get("j2").unwrap().is_queued());
+    fn unknown_status_is_corrupt_and_its_job_re_executes() {
+        // A sealed line whose checksum is valid but whose status is not
+        // a terminal outcome must not satisfy a resume: it is skipped as
+        // corrupt and its job runs again.
+        let tmp = temp_manifest("unknown-status");
+        let ok = record("k", "ok", None).to_json_line();
+        let trunk = ok[..ok.rfind(",\"ck\":").unwrap()]
+            .replace("\"status\":\"ok\"", "\"status\":\"queued\"");
+        let sealed = format!("{trunk},\"ck\":\"{:016x}\"}}", key_hash(&trunk));
+        std::fs::write(&tmp.0, format!("{sealed}\n")).unwrap();
+        let mut m = Manifest::open(&tmp.0, true).unwrap();
+        assert_eq!(m.recovery().corrupt, 1);
+        assert!(!m.contains("k"));
+        let jobs = vec![("k".to_string(), ())];
+        let out = run_with_manifest_opts(
+            &Scheduler::new(1),
+            &Progress::new(),
+            &mut m,
+            &jobs,
+            |_, _, _| Ok(Metrics::from([("x", 1.0)])),
+            SweepOptions::default(),
+        )
+        .unwrap();
+        assert_eq!(out.executed, 1);
+        assert_eq!(out.resumed, 0);
+        assert!(out.records[0].is_ok());
     }
 
     #[test]
