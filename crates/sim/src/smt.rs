@@ -122,6 +122,7 @@ pub fn run_smt_cancellable(
                 &mut robs[tid],
                 instr,
                 tid as u64 * THREAD_VA_STRIDE,
+                cfg.ignore_deps,
             )?;
             if robs[tid].now().saturating_sub(before) > watchdog {
                 let diag = deadlock_diag(&robs[tid], core, llc, before);
@@ -166,6 +167,21 @@ mod tests {
         assert_eq!(s.threads[1].instructions, 10_000);
         assert!(s.threads[0].ipc() > 0.0);
         assert!(s.threads[1].ipc() > 0.0);
+    }
+
+    #[test]
+    fn ignore_deps_reaches_both_threads() {
+        // Two pointer chasers: with address dependencies ignored, their
+        // loads overlap, so the pair must finish in different cycles.
+        let cycles = |ignore_deps: bool| {
+            let mut cfg = SimConfig::baseline();
+            cfg.ignore_deps = ignore_deps;
+            let mut a = BenchmarkId::Mcf.build(Scale::Test, 1);
+            let mut b = BenchmarkId::Mcf.build(Scale::Test, 2);
+            let s = run_smt(&cfg, a.as_mut(), b.as_mut(), 2_000, 10_000).expect("smt runs");
+            [s.threads[0].cycles, s.threads[1].cycles]
+        };
+        assert_ne!(cycles(true), cycles(false));
     }
 
     #[test]
