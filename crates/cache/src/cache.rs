@@ -449,16 +449,6 @@ impl Cache {
         (ready, evicted)
     }
 
-    /// Event-wheel probe for a full MSHR file: if a fill at `cycle`
-    /// would stall for a free register, count the stall and return the
-    /// wakeup cycle so the caller can schedule the fill there (see
-    /// [`Mshr::full_wakeup`](crate::Mshr::full_wakeup)). `None` means
-    /// the fill can proceed immediately via
-    /// [`insert_miss_at`](Self::insert_miss_at).
-    pub fn mshr_full_wakeup(&mut self, cycle: u64) -> Option<u64> {
-        self.mshr.full_wakeup(cycle)
-    }
-
     /// [`insert_miss`](Self::insert_miss) for a line a just-failed
     /// [`probe`](Self::probe) reported missing from `set` with `empty`
     /// as the first free way: the fill skips the set-index computation,

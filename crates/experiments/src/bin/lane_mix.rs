@@ -1,6 +1,6 @@
 //! Partitioned-lane multicore smoke: a fixed four-lane mix through
-//! [`run_multicore_lanes`], one event wheel per lane, with `--jobs`
-//! selecting the worker-thread count.
+//! [`run_multicore_lanes`], one single-core machine per lane, with
+//! `--jobs` selecting the worker-thread count.
 //!
 //! The whole point of this binary is the determinism contract: lanes are
 //! independent and the merge is lane-ordered, so stdout must be

@@ -39,7 +39,6 @@ pub mod machine;
 pub mod multicore;
 pub mod smt;
 pub mod telemetry;
-pub mod wheel;
 
 pub use atc_obs::TelemetrySnapshot;
 pub use machine::{Machine, Probes, RunStats, SimConfig, SimFailure, DEFAULT_BATCH};
